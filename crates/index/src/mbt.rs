@@ -491,7 +491,7 @@ impl SiriIndex for MerkleBucketTree {
         self.len
     }
 
-    fn try_insert(&mut self, key: Vec<u8>, value: Vec<u8>) -> Result<(), StorageError> {
+    fn try_insert(&mut self, key: Vec<u8>, value: Vec<u8>) -> Result<bool, StorageError> {
         let bucket_index = bucket_of(&key);
         let mut entries = self.load_bucket(bucket_index);
         let inserted_new = match entries.binary_search_by(|(k, _)| k.as_slice().cmp(key.as_slice()))
@@ -517,7 +517,7 @@ impl SiriIndex for MerkleBucketTree {
         if inserted_new {
             self.len += 1;
         }
-        Ok(())
+        Ok(inserted_new)
     }
 
     fn get(&self, key: &[u8]) -> Option<Vec<u8>> {

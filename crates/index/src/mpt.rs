@@ -1251,7 +1251,7 @@ impl SiriIndex for MerklePatriciaTrie {
         self.len
     }
 
-    fn try_insert(&mut self, key: Vec<u8>, value: Vec<u8>) -> Result<(), StorageError> {
+    fn try_insert(&mut self, key: Vec<u8>, value: Vec<u8>) -> Result<bool, StorageError> {
         let nibbles = to_nibbles(&key);
         let root = if self.root.is_zero() {
             None
@@ -1263,7 +1263,7 @@ impl SiriIndex for MerklePatriciaTrie {
         if added {
             self.len += 1;
         }
-        Ok(())
+        Ok(added)
     }
 
     fn get(&self, key: &[u8]) -> Option<Vec<u8>> {

@@ -14,10 +14,19 @@
 //! structural invariance, node-level deduplication across versions, ordered
 //! range scans, and Merkle proofs that are produced by the same traversal
 //! that answers the query.
+//!
+//! **Invariant: only a persisted node's last entry can be a boundary.** A
+//! run of entries is cut right after the first boundary it meets (or at the
+//! size cap), so every entry of a stored node except the last is known to
+//! be a non-boundary at that node's level. An insert therefore hashes only
+//! the entries whose split decision it cannot inherit: the new key, the
+//! new child references of a split, and the old last entry when the key
+//! lands after it. The decisions, and so the bytes of every node, are the
+//! same as re-testing every entry; debug builds re-test the skipped ones.
 
 use std::sync::Arc;
 
-use spitz_crypto::{sha256, Hash};
+use spitz_crypto::{Hash, Sha256};
 use spitz_storage::{Chunk, ChunkKind, ChunkStore, StorageError};
 
 use crate::codec::{put_bytes, put_hash, put_u32, put_u64, Reader};
@@ -133,21 +142,59 @@ impl Node {
     }
 }
 
-/// Content-defined split decision: an entry with this key ends a node at the
-/// given level. Seeded per level so that leaf and internal splits are
-/// independent.
 /// Child node addresses of an encoded Pos-Tree node (empty for a leaf);
 /// `None` when the payload does not decode as a Pos-Tree node.
 pub(crate) fn node_children(payload: &[u8]) -> Option<Vec<Hash>> {
     Node::decode(payload).map(Node::children)
 }
 
+/// Content-defined split decision: an entry with this key ends a node at the
+/// given level. Seeded per level so that leaf and internal splits are
+/// independent.
 fn is_boundary(key: &[u8], level: u8) -> bool {
-    let mut data = Vec::with_capacity(key.len() + 2);
-    data.push(0xB0);
-    data.push(level);
-    data.extend_from_slice(key);
-    sha256(&data).prefix_u64().is_multiple_of(AVG_FANOUT)
+    let mut hasher = Sha256::new();
+    hasher.update(&[0xB0, level]);
+    hasher.update(key);
+    hasher.finalize().prefix_u64().is_multiple_of(AVG_FANOUT)
+}
+
+/// An entry a node is split into runs over: a leaf's key/value pair or an
+/// internal node's child reference.
+trait SplitEntry: Sized {
+    /// The key whose hash makes the split decision.
+    fn split_key(&self) -> &[u8];
+    /// The node at `level` holding one run of entries.
+    fn into_node(level: u8, run: Vec<Self>) -> Node;
+}
+
+impl SplitEntry for (Vec<u8>, Vec<u8>) {
+    fn split_key(&self) -> &[u8] {
+        &self.0
+    }
+
+    fn into_node(_level: u8, run: Vec<Self>) -> Node {
+        Node::Leaf(run)
+    }
+}
+
+impl SplitEntry for ChildRef {
+    fn split_key(&self) -> &[u8] {
+        &self.max_key
+    }
+
+    fn into_node(level: u8, run: Vec<Self>) -> Node {
+        Node::Internal(level, run)
+    }
+}
+
+/// The split mask of a persisted node with `len` entries: every entry but
+/// the last is settled (known not to be a boundary).
+fn persisted_mask(len: usize) -> Vec<bool> {
+    let mut settled = vec![true; len];
+    if let Some(last) = settled.last_mut() {
+        *last = false;
+    }
+    settled
 }
 
 /// The Pattern-Oriented-Split Tree.
@@ -248,48 +295,40 @@ impl PosTree {
     }
 
     /// Split a freshly modified node's entries at content-defined boundaries
-    /// and persist the resulting nodes, returning their child references.
-    fn persist_leaf_runs(
-        &self,
-        entries: Vec<(Vec<u8>, Vec<u8>)>,
-    ) -> Result<Vec<ChildRef>, StorageError> {
-        let mut out = Vec::new();
-        let mut current: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
-        let total = entries.len();
-        for (i, (k, v)) in entries.into_iter().enumerate() {
-            let boundary = is_boundary(&k, 0);
-            current.push((k, v));
-            let force = current.len() >= MAX_NODE_ENTRIES;
-            let last = i + 1 == total;
-            if (boundary || force) && !last {
-                out.push(self.child_ref_for(Node::Leaf(std::mem::take(&mut current)))?);
-            }
-        }
-        if !current.is_empty() {
-            out.push(self.child_ref_for(Node::Leaf(current))?);
-        }
-        Ok(out)
-    }
-
-    fn persist_internal_runs(
+    /// and persist the resulting nodes at `level`, returning their child
+    /// references. `settled[i]` marks an entry already known not to be a
+    /// boundary at `level`; only the others are hashed. The last entry
+    /// never ends a run early, so its decision is never needed.
+    fn persist_runs<E: SplitEntry>(
         &self,
         level: u8,
-        children: Vec<ChildRef>,
+        entries: Vec<E>,
+        settled: &[bool],
     ) -> Result<Vec<ChildRef>, StorageError> {
+        debug_assert_eq!(entries.len(), settled.len());
         let mut out = Vec::new();
-        let mut current: Vec<ChildRef> = Vec::new();
-        let total = children.len();
-        for (i, child) in children.into_iter().enumerate() {
-            let boundary = is_boundary(&child.max_key, level);
-            current.push(child);
-            let force = current.len() >= MAX_NODE_ENTRIES;
+        let mut current: Vec<E> = Vec::new();
+        let total = entries.len();
+        for (i, entry) in entries.into_iter().enumerate() {
             let last = i + 1 == total;
-            if (boundary || force) && !last {
-                out.push(self.child_ref_for(Node::Internal(level, std::mem::take(&mut current)))?);
+            let boundary = if last {
+                false
+            } else if settled[i] {
+                debug_assert!(
+                    !is_boundary(entry.split_key(), level),
+                    "entry {i} of a level-{level} run was settled but is a boundary"
+                );
+                false
+            } else {
+                is_boundary(entry.split_key(), level)
+            };
+            current.push(entry);
+            if !last && (boundary || current.len() >= MAX_NODE_ENTRIES) {
+                out.push(self.child_ref_for(E::into_node(level, std::mem::take(&mut current)))?);
             }
         }
         if !current.is_empty() {
-            out.push(self.child_ref_for(Node::Internal(level, current))?);
+            out.push(self.child_ref_for(E::into_node(level, current))?);
         }
         Ok(out)
     }
@@ -305,35 +344,52 @@ impl PosTree {
     }
 
     /// Recursive insert; returns the replacement children for the node at
-    /// `hash` and whether a brand-new key was added.
+    /// `hash`, the level they sit at, and whether a brand-new key was added.
     fn insert_rec(
         &self,
         hash: &Hash,
         key: &[u8],
         value: &[u8],
-    ) -> Result<(Vec<ChildRef>, bool), StorageError> {
+    ) -> Result<(Vec<ChildRef>, u8, bool), StorageError> {
         let node = load_node(&self.store, hash).expect("pos-tree node missing from store");
         match node {
             Node::Leaf(mut entries) => {
-                let mut inserted_new = false;
-                match entries.binary_search_by(|(k, _)| k.as_slice().cmp(key)) {
-                    Ok(i) => entries[i].1 = value.to_vec(),
+                let mut settled = persisted_mask(entries.len());
+                let inserted_new = match entries.binary_search_by(|(k, _)| k.as_slice().cmp(key)) {
+                    // Same key, same split decision: only the value changes.
+                    Ok(i) => {
+                        entries[i].1 = value.to_vec();
+                        false
+                    }
                     Err(i) => {
                         entries.insert(i, (key.to_vec(), value.to_vec()));
-                        inserted_new = true;
+                        settled.insert(i, false);
+                        true
                     }
-                }
-                Ok((self.persist_leaf_runs(entries)?, inserted_new))
+                };
+                Ok((self.persist_runs(0, entries, &settled)?, 0, inserted_new))
             }
             Node::Internal(level, mut children) => {
                 let idx = match children.binary_search_by(|c| c.max_key.as_slice().cmp(key)) {
                     Ok(i) => i,
                     Err(i) => i.min(children.len() - 1),
                 };
-                let (replacements, inserted_new) =
+                let (replacements, _, inserted_new) =
                     self.insert_rec(&children[idx].hash, key, value)?;
+                // The replacements are new references, except that the last
+                // one keeps the replaced child's max key and so its decision:
+                // a key lands past a child's max key only in the last child,
+                // which is never settled.
+                let mut settled = persisted_mask(children.len());
+                let kept = settled[idx];
+                let n = replacements.len();
+                settled.splice(idx..idx + 1, (1..=n).map(|j| j == n && kept));
                 children.splice(idx..idx + 1, replacements);
-                Ok((self.persist_internal_runs(level, children)?, inserted_new))
+                Ok((
+                    self.persist_runs(level, children, &settled)?,
+                    level,
+                    inserted_new,
+                ))
             }
         }
     }
@@ -607,25 +663,19 @@ impl SiriIndex for PosTree {
         self.len
     }
 
-    fn try_insert(&mut self, key: Vec<u8>, value: Vec<u8>) -> Result<(), StorageError> {
+    fn try_insert(&mut self, key: Vec<u8>, value: Vec<u8>) -> Result<bool, StorageError> {
         if self.root.is_zero() {
-            let refs = self.persist_leaf_runs(vec![(key, value)])?;
+            let refs = self.persist_runs(0, vec![(key, value)], &[false])?;
             self.root = self.collapse(refs, 1)?;
             self.len = 1;
-            return Ok(());
+            return Ok(true);
         }
-        let (refs, inserted_new) = self.insert_rec(&self.root.clone(), &key, &value)?;
-        // Determine the level above the returned refs: reload one ref to see.
-        let level_above = match load_node(&self.store, &refs[0].hash) {
-            Some(Node::Leaf(_)) => 1,
-            Some(Node::Internal(level, _)) => level + 1,
-            None => 1,
-        };
-        self.root = self.collapse(refs, level_above)?;
+        let (refs, level, inserted_new) = self.insert_rec(&self.root.clone(), &key, &value)?;
+        self.root = self.collapse(refs, level + 1)?;
         if inserted_new {
             self.len += 1;
         }
-        Ok(())
+        Ok(inserted_new)
     }
 
     fn get(&self, key: &[u8]) -> Option<Vec<u8>> {
@@ -671,10 +721,12 @@ impl SiriIndex for PosTree {
 
 impl PosTree {
     /// Collapse a list of sibling references into a single root by stacking
-    /// internal levels until one node remains.
+    /// internal levels until one node remains. None of the references has
+    /// been tested at the level it is stacked into, so every one is hashed.
     fn collapse(&self, mut refs: Vec<ChildRef>, mut level: u8) -> Result<Hash, StorageError> {
         while refs.len() > 1 {
-            refs = self.persist_internal_runs(level, refs)?;
+            let unsettled = vec![false; refs.len()];
+            refs = self.persist_runs(level, refs, &unsettled)?;
             level += 1;
         }
         Ok(refs.pop().map(|r| r.hash).unwrap_or(Hash::ZERO))
@@ -686,8 +738,10 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::seq::SliceRandom;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
+    use spitz_crypto::sha256;
     use spitz_storage::InMemoryChunkStore;
+    use std::collections::BTreeMap;
 
     fn new_tree() -> PosTree {
         PosTree::new(InMemoryChunkStore::shared())
@@ -915,6 +969,83 @@ mod tests {
         assert_eq!(old.get(b"a"), Some(b"1".to_vec()));
         assert_eq!(old.get(b"b"), None);
         assert!(tree.checkout(sha256(b"unknown")).is_none());
+    }
+
+    /// One bulk build of sorted entries: a single split with an all-unknown
+    /// mask (every entry hashed), stacked into a root through `collapse`.
+    fn bulk_build(entries: Vec<(Vec<u8>, Vec<u8>)>) -> PosTree {
+        let mut tree = new_tree();
+        let len = entries.len();
+        if len > 0 {
+            let refs = tree.persist_runs(0, entries, &vec![false; len]).unwrap();
+            tree.root = tree.collapse(refs, 1).unwrap();
+            tree.len = len;
+        }
+        tree
+    }
+
+    #[test]
+    fn random_upserts_match_one_bulk_build() {
+        for seed in 0..16u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let universe: u32 = rng.gen_range(1..4000);
+            let ops: usize = rng.gen_range(1..2500);
+            let mut tree = new_tree();
+            let mut model = BTreeMap::new();
+            // Runs of random, ascending (past the maximum) and descending
+            // (below the minimum) keys, with updates of keys already in.
+            let (mut up, mut down) = (universe, u32::MAX);
+            for op in 0..ops {
+                let i = match (op / 50) % 3 {
+                    0 => rng.gen_range(0..universe),
+                    1 => {
+                        up += 1;
+                        up
+                    }
+                    _ => {
+                        down -= 1;
+                        down % 1000
+                    }
+                };
+                let k = if (op / 50) % 3 == 2 {
+                    format!("a-{i:08}").into_bytes()
+                } else {
+                    key(i)
+                };
+                let v = format!("v{}-{}", op, rng.gen::<u32>() % 97).into_bytes();
+                let inserted = tree.try_insert(k.clone(), v.clone()).unwrap();
+                assert_eq!(
+                    inserted,
+                    model.insert(k, v).is_none(),
+                    "seed {seed} op {op}"
+                );
+            }
+
+            let bulk = bulk_build(model.clone().into_iter().collect());
+            assert_eq!(tree.root(), bulk.root(), "seed {seed}");
+            assert_eq!(tree.len(), bulk.len(), "seed {seed}");
+
+            let mut probes: Vec<Vec<u8>> = model.keys().step_by(37).cloned().collect();
+            probes.extend([
+                b"".to_vec(),
+                b"zzz".to_vec(),
+                format!("key-{}!", universe / 2).into_bytes(),
+            ]);
+            for k in &probes {
+                let (value, proof) = tree.get_with_proof(k);
+                let (bulk_value, bulk_proof) = bulk.get_with_proof(k);
+                assert_eq!(value, bulk_value);
+                assert_eq!(proof.encode(), bulk_proof.encode(), "seed {seed}");
+            }
+            let (_, multi) = tree.multi_get_with_proof(&probes);
+            let (_, bulk_multi) = bulk.multi_get_with_proof(&probes);
+            assert_eq!(multi.encode(), bulk_multi.encode(), "seed {seed}");
+            let (entries, range) = tree.range_with_proof(&key(universe / 3), &key(universe / 2));
+            let (bulk_entries, bulk_range) =
+                bulk.range_with_proof(&key(universe / 3), &key(universe / 2));
+            assert_eq!(entries, bulk_entries);
+            assert_eq!(range.encode(), bulk_range.encode(), "seed {seed}");
+        }
     }
 
     #[test]

@@ -91,17 +91,20 @@ pub trait SiriIndex: Send + Sync {
 
     /// Insert or overwrite a key/value pair, surfacing storage failures
     /// (disk full while persisting an index node) as a [`StorageError`].
-    /// On an error the index root is left unchanged; partially written
-    /// nodes are unreferenced content-addressed chunks, reclaimed by
-    /// segment GC like any other orphan.
-    fn try_insert(&mut self, key: Vec<u8>, value: Vec<u8>) -> Result<(), StorageError>;
+    /// Returns `true` when the key is new and `false` when an existing
+    /// value was overwritten, which is how the ledger tags each record
+    /// Insert or Update without a second descent. On an error the index
+    /// root is left unchanged; partially written nodes are unreferenced
+    /// content-addressed chunks, reclaimed by segment GC like any other
+    /// orphan.
+    fn try_insert(&mut self, key: Vec<u8>, value: Vec<u8>) -> Result<bool, StorageError>;
 
     /// Insert or overwrite a key/value pair. Panics on a storage failure;
     /// fallible callers (the ledger's commit path) use
     /// [`SiriIndex::try_insert`].
     fn insert(&mut self, key: Vec<u8>, value: Vec<u8>) {
         self.try_insert(key, value)
-            .expect("persisting an index node failed; use try_insert to handle it")
+            .expect("persisting an index node failed; use try_insert to handle it");
     }
 
     /// Point lookup.

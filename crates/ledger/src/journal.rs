@@ -136,6 +136,30 @@ impl Journal {
         Journal { levels: Vec::new() }
     }
 
+    /// Build the journal over `block_hashes` in one bottom-up pass: each
+    /// level pairs up the level below under the same promote-odd rule, so
+    /// every interior node is hashed once. The result equals appending the
+    /// hashes one by one, which re-hashes a root-to-leaf path per block.
+    pub fn from_leaves(block_hashes: Vec<Hash>) -> Self {
+        let mut levels = Vec::new();
+        let mut level = block_hashes;
+        while level.len() > 1 {
+            let above = level
+                .chunks(2)
+                .map(|pair| match pair {
+                    [left, right] => node_hash(left, right),
+                    [single] => *single,
+                    _ => unreachable!("chunks(2) yields one or two hashes"),
+                })
+                .collect();
+            levels.push(std::mem::replace(&mut level, above));
+        }
+        if !level.is_empty() {
+            levels.push(level);
+        }
+        Journal { levels }
+    }
+
     /// Number of blocks recorded.
     pub fn len(&self) -> usize {
         self.levels.first().map(|l| l.len()).unwrap_or(0)
@@ -292,6 +316,24 @@ mod tests {
                 fresh.append(*b);
             }
             assert_eq!(journal.root(), fresh.root(), "size {}", n + 1);
+        }
+    }
+
+    #[test]
+    fn bottom_up_build_matches_appends_at_every_size() {
+        let blocks = hashes(300);
+        let mut appended = Journal::new();
+        for n in 0..=blocks.len() {
+            if n > 0 {
+                appended.append(blocks[n - 1]);
+            }
+            let built = Journal::from_leaves(blocks[..n].to_vec());
+            assert_eq!(built.len(), n);
+            assert_eq!(built.root(), appended.root(), "size {n}");
+            for i in 0..=n as u64 {
+                assert_eq!(built.block_hash(i), appended.block_hash(i), "size {n}");
+                assert_eq!(built.prove(i), appended.prove(i), "size {n} index {i}");
+            }
         }
     }
 

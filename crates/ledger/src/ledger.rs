@@ -478,7 +478,7 @@ impl Ledger {
         chain.reverse();
 
         // Re-verify what the chain claims before trusting it.
-        let mut journal = Journal::new();
+        let mut block_hashes = Vec::with_capacity(chain.len());
         let mut blocks = Vec::with_capacity(chain.len());
         let mut prev_hash = Hash::ZERO;
         for (height, (address, block)) in chain.into_iter().enumerate() {
@@ -489,9 +489,11 @@ impl Ledger {
                 return Err(StorageError::CorruptChunk(address));
             }
             prev_hash = block.hash();
-            journal.append(prev_hash);
+            block_hashes.push(prev_hash);
             blocks.push(block);
         }
+        // Bottom-up, so each interior journal node is hashed once.
+        let journal = Journal::from_leaves(block_hashes);
 
         let head = blocks.last().expect("chain walk found at least the head");
         let index_root = head.header.index_root;
@@ -588,27 +590,30 @@ impl Ledger {
         let mut records = Vec::with_capacity(groups.iter().map(|(w, _)| w.len()).sum());
         for (writes, statement) in groups {
             for (key, value) in writes {
-                let op = if inner.index.get(&key).is_some() {
-                    WriteOp::Update
-                } else {
-                    WriteOp::Insert
+                let record_key = key.clone();
+                let value_hash = spitz_crypto::sha256(&value);
+                // Index-node puts route through `try_put`: disk full while
+                // persisting an index node is an error with a rollback, not
+                // a panic inside the committer. The insert itself reports
+                // whether the key is new, so the record is tagged without a
+                // second descent.
+                let op = match inner.index.try_insert(key, value) {
+                    Ok(true) => WriteOp::Insert,
+                    Ok(false) => WriteOp::Update,
+                    Err(error) => {
+                        if let Some(previous) = inner.index.checkout(prev_index_root) {
+                            inner.index = previous;
+                        }
+                        inner.timestamp -= 1;
+                        return Err(error);
+                    }
                 };
                 records.push(TxnRecord {
                     op,
-                    key: key.clone(),
-                    value_hash: spitz_crypto::sha256(&value),
+                    key: record_key,
+                    value_hash,
                     statement: statement.clone(),
                 });
-                // Index-node puts route through `try_put`: disk full while
-                // persisting an index node is an error with a rollback, not
-                // a panic inside the committer.
-                if let Err(error) = inner.index.try_insert(key, value) {
-                    if let Some(previous) = inner.index.checkout(prev_index_root) {
-                        inner.index = previous;
-                    }
-                    inner.timestamp -= 1;
-                    return Err(error);
-                }
             }
         }
 

@@ -49,30 +49,67 @@ pub const RECORD_OVERHEAD: usize = 4 + 1 + HASH_LEN + 4;
 /// [`ChunkKind`] tag.
 pub const ROOT_RECORD_TAG: u8 = b'R';
 
+/// Slicing-by-8 lookup tables for CRC-32/IEEE (reflected polynomial
+/// `0xEDB88320`), built at compile time. `CRC_TABLES[0]` is the classic
+/// bytewise table; `CRC_TABLES[k][b]` is the CRC state contribution of
+/// byte `b` followed by `k` zero bytes, so eight table lookups advance the
+/// CRC over eight input bytes at once.
+static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = if crc & 1 != 0 {
+                (crc >> 1) ^ 0xEDB8_8320
+            } else {
+                crc >> 1
+            };
+            bit += 1;
+        }
+        tables[0][i] = crc;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
+}
+
 /// CRC-32 (IEEE 802.3, the polynomial used by gzip/zip) over `data`.
 ///
-/// Implemented locally with a lazily built lookup table; the workspace has
-/// no registry access, so no `crc32fast` dependency.
+/// Implemented locally (the workspace has no registry access, so no
+/// `crc32fast` dependency) as slicing-by-8 over lookup tables built at
+/// compile time: eight bytes per step, then a bytewise tail. It runs on
+/// every append, cold read and open scan.
 pub fn crc32(data: &[u8]) -> u32 {
-    static TABLE: std::sync::OnceLock<[u32; 256]> = std::sync::OnceLock::new();
-    let table = TABLE.get_or_init(|| {
-        let mut table = [0u32; 256];
-        for (i, entry) in table.iter_mut().enumerate() {
-            let mut crc = i as u32;
-            for _ in 0..8 {
-                crc = if crc & 1 != 0 {
-                    (crc >> 1) ^ 0xEDB8_8320
-                } else {
-                    crc >> 1
-                };
-            }
-            *entry = crc;
-        }
-        table
-    });
+    let t = &CRC_TABLES;
     let mut crc = 0xFFFF_FFFFu32;
-    for &byte in data {
-        crc = (crc >> 8) ^ table[((crc ^ byte as u32) & 0xFF) as usize];
+    let mut words = data.chunks_exact(8);
+    for word in &mut words {
+        let lo = crc ^ u32::from_le_bytes([word[0], word[1], word[2], word[3]]);
+        let hi = u32::from_le_bytes([word[4], word[5], word[6], word[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &byte in words.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ byte as u32) & 0xFF) as usize];
     }
     !crc
 }
@@ -128,29 +165,6 @@ pub fn root_record_len(name: &str) -> usize {
     RECORD_OVERHEAD + name.len()
 }
 
-/// What a decoded record carries.
-#[derive(Debug)]
-pub enum RecordBody {
-    /// A content-addressed chunk.
-    Chunk(Chunk),
-    /// A root publication: the record's address field is the new value of
-    /// the named root pointer.
-    Root {
-        /// Name of the published root pointer.
-        name: String,
-    },
-}
-
-/// A record decoded from a segment file.
-#[derive(Debug)]
-pub struct DecodedRecord {
-    /// The address stored in the frame: the chunk's content address, or the
-    /// published root hash.
-    pub address: Hash,
-    /// The decoded record body.
-    pub body: RecordBody,
-}
-
 /// Why decoding a record failed.
 #[derive(Debug, PartialEq, Eq)]
 pub enum RecordError {
@@ -166,9 +180,42 @@ pub enum RecordError {
     BadRootName,
 }
 
-/// Decode the record starting at `bytes[0]`; on success also returns the
-/// total encoded length so the caller can advance its cursor.
-pub fn decode_record(bytes: &[u8]) -> Result<(DecodedRecord, usize), RecordError> {
+/// What a decoded record carries, borrowed from the segment bytes.
+#[derive(Debug, PartialEq, Eq)]
+pub enum RecordBody<'a> {
+    /// A content-addressed chunk of this kind.
+    Chunk {
+        /// The stored chunk's kind.
+        kind: ChunkKind,
+        /// The chunk bytes.
+        payload: &'a [u8],
+    },
+    /// A root publication: the record's address field is the new value of
+    /// the named root pointer.
+    Root {
+        /// Name of the published root pointer.
+        name: &'a str,
+    },
+}
+
+/// A record decoded from a segment file. It borrows its payload rather
+/// than copying it: the open-time scan only needs where each chunk lives,
+/// and a reader copies the payload into a [`Chunk`] itself.
+#[derive(Debug, PartialEq, Eq)]
+pub struct DecodedRecord<'a> {
+    /// The address stored in the frame: the chunk's content address, or the
+    /// published root hash.
+    pub address: Hash,
+    /// The decoded record body.
+    pub body: RecordBody<'a>,
+    /// Total encoded length of the record, so the caller can advance its
+    /// cursor.
+    pub len: usize,
+}
+
+/// Decode and check the record starting at `bytes[0]`: its length, CRC,
+/// kind tag and, for a root record, the UTF-8 of its name.
+pub fn decode_record(bytes: &[u8]) -> Result<DecodedRecord<'_>, RecordError> {
     if bytes.len() < RECORD_OVERHEAD {
         return Err(RecordError::Truncated);
     }
@@ -177,9 +224,8 @@ pub fn decode_record(bytes: &[u8]) -> Result<(DecodedRecord, usize), RecordError
     if bytes.len() < total {
         return Err(RecordError::Truncated);
     }
-    let body = &bytes[..total - 4];
     let stored_crc = u32::from_be_bytes(bytes[total - 4..total].try_into().unwrap());
-    if crc32(body) != stored_crc {
+    if crc32(&bytes[..total - 4]) != stored_crc {
         return Err(RecordError::BadCrc);
     }
     let tag = bytes[4];
@@ -188,19 +234,19 @@ pub fn decode_record(bytes: &[u8]) -> Result<(DecodedRecord, usize), RecordError
     let payload = &bytes[5 + HASH_LEN..total - 4];
     let body = if tag == ROOT_RECORD_TAG {
         RecordBody::Root {
-            name: String::from_utf8(payload.to_vec()).map_err(|_| RecordError::BadRootName)?,
+            name: std::str::from_utf8(payload).map_err(|_| RecordError::BadRootName)?,
         }
     } else {
-        let kind = ChunkKind::from_tag(tag).ok_or(RecordError::BadKind(tag))?;
-        RecordBody::Chunk(Chunk::new(kind, payload.to_vec()))
+        RecordBody::Chunk {
+            kind: ChunkKind::from_tag(tag).ok_or(RecordError::BadKind(tag))?,
+            payload,
+        }
     };
-    Ok((
-        DecodedRecord {
-            address: Hash::from_bytes(address),
-            body,
-        },
-        total,
-    ))
+    Ok(DecodedRecord {
+        address: Hash::from_bytes(address),
+        body,
+        len: total,
+    })
 }
 
 #[cfg(test)]
@@ -214,19 +260,61 @@ mod tests {
         assert_eq!(crc32(b""), 0);
     }
 
+    /// The textbook bit-at-a-time CRC-32/IEEE, as an oracle for the
+    /// table-driven one.
+    fn crc32_bitwise(data: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &byte in data {
+            crc ^= byte as u32;
+            for _ in 0..8 {
+                crc = if crc & 1 != 0 {
+                    (crc >> 1) ^ 0xEDB8_8320
+                } else {
+                    crc >> 1
+                };
+            }
+        }
+        !crc
+    }
+
+    #[test]
+    fn crc32_slicing_by_8_equals_the_bytewise_reference() {
+        // A seeded xorshift buffer, so every length and alignment sees
+        // arbitrary bytes.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let buffer: Vec<u8> = (0..8 + 257)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state as u8
+            })
+            .collect();
+        assert_eq!(crc32_bitwise(b"123456789"), 0xCBF4_3926);
+        for start in 0..8 {
+            for len in 0..=257 {
+                let data = &buffer[start..start + len];
+                assert_eq!(crc32(data), crc32_bitwise(data), "start {start} len {len}");
+            }
+        }
+    }
+
     #[test]
     fn record_roundtrip() {
         let chunk = Chunk::new(ChunkKind::Blob, b"payload bytes".to_vec());
         let addr = chunk.address();
         let encoded = encode_record(&addr, &chunk);
         assert_eq!(encoded.len(), RECORD_OVERHEAD + chunk.len());
-        let (decoded, consumed) = decode_record(&encoded).unwrap();
-        assert_eq!(consumed, encoded.len());
+        let decoded = decode_record(&encoded).unwrap();
+        assert_eq!(decoded.len, encoded.len());
         assert_eq!(decoded.address, addr);
-        match decoded.body {
-            RecordBody::Chunk(c) => assert_eq!(c, chunk),
-            other => panic!("expected a chunk record, got {other:?}"),
-        }
+        assert_eq!(
+            decoded.body,
+            RecordBody::Chunk {
+                kind: ChunkKind::Blob,
+                payload: chunk.data()
+            }
+        );
     }
 
     #[test]
@@ -234,13 +322,15 @@ mod tests {
         let hash = spitz_crypto::sha256(b"head block");
         let encoded = encode_root_record("spitz/ledger/head", &hash);
         assert_eq!(encoded.len(), root_record_len("spitz/ledger/head"));
-        let (decoded, consumed) = decode_record(&encoded).unwrap();
-        assert_eq!(consumed, encoded.len());
+        let decoded = decode_record(&encoded).unwrap();
+        assert_eq!(decoded.len, encoded.len());
         assert_eq!(decoded.address, hash);
-        match decoded.body {
-            RecordBody::Root { name } => assert_eq!(name, "spitz/ledger/head"),
-            other => panic!("expected a root record, got {other:?}"),
-        }
+        assert_eq!(
+            decoded.body,
+            RecordBody::Root {
+                name: "spitz/ledger/head"
+            }
+        );
     }
 
     #[test]

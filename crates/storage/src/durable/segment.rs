@@ -254,9 +254,9 @@ impl Segment {
             offset: location.offset,
             reason,
         };
-        let (decoded, _) = decode_record(&buf).map_err(|e| corrupt(format!("{e:?}")))?;
+        let decoded = decode_record(&buf).map_err(|e| corrupt(format!("{e:?}")))?;
         match decoded.body {
-            RecordBody::Chunk(chunk) => Ok(chunk),
+            RecordBody::Chunk { kind, payload } => Ok(Chunk::new(kind, payload.to_vec())),
             RecordBody::Root { .. } => {
                 Err(corrupt("root record where a chunk was expected".into()))
             }
@@ -308,21 +308,26 @@ impl Segment {
         let mut roots = Vec::new();
         let mut offset = SEGMENT_HEADER_LEN as usize;
         while offset < bytes.len() {
+            // Every record check runs (length, CRC, kind tag, root-name
+            // UTF-8); the payload stays in `bytes`, since the scan only
+            // needs where each chunk lives.
             match decode_record(&bytes[offset..]) {
-                Ok((decoded, consumed)) => {
+                Ok(decoded) => {
                     match decoded.body {
-                        RecordBody::Chunk(chunk) => records.push((
+                        RecordBody::Chunk { kind, .. } => records.push((
                             decoded.address,
                             ChunkLocation {
                                 segment: self.id,
                                 offset: offset as u64,
-                                len: consumed as u32,
-                                kind: chunk.kind(),
+                                len: decoded.len as u32,
+                                kind,
                             },
                         )),
-                        RecordBody::Root { name } => roots.push((name, decoded.address)),
+                        RecordBody::Root { name } => {
+                            roots.push((name.to_string(), decoded.address))
+                        }
                     }
-                    offset += consumed;
+                    offset += decoded.len;
                 }
                 Err(error) => {
                     // A damaged record that still claims to end before EOF
@@ -375,6 +380,7 @@ fn record_claimed_end(bytes: &[u8], offset: usize) -> Option<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::durable::format::{crc32, ROOT_RECORD_TAG};
     use crate::durable::testutil::TempDir;
 
     fn blob(data: &[u8]) -> Chunk {
@@ -530,6 +536,78 @@ mod tests {
             reopened.scan(true),
             Err(StorageError::SegmentCorrupt { .. })
         ));
+    }
+
+    /// A record frame with a valid CRC over arbitrary tag and payload bytes.
+    fn forged_record(tag: u8, payload: &[u8]) -> Vec<u8> {
+        let mut out = (payload.len() as u32).to_be_bytes().to_vec();
+        out.push(tag);
+        out.extend_from_slice(spitz_crypto::sha256(payload).as_bytes());
+        out.extend_from_slice(payload);
+        let crc = crc32(&out);
+        out.extend_from_slice(&crc.to_be_bytes());
+        out
+    }
+
+    #[test]
+    fn crc_valid_records_with_a_bad_kind_or_root_name_fail_the_scan() {
+        let unknown_tag = 0xEE;
+        assert!(ChunkKind::from_tag(unknown_tag).is_none());
+        assert_ne!(unknown_tag, ROOT_RECORD_TAG);
+        let cases = [
+            ("BadKind", forged_record(unknown_tag, b"payload")),
+            (
+                "BadRootName",
+                forged_record(ROOT_RECORD_TAG, &[0xFF, 0xFE, 0x80]),
+            ),
+        ];
+        for (reason, bad) in cases {
+            let good = blob(b"intact record");
+
+            // Last record of a sealed segment: the open fails at its offset.
+            let dir = TempDir::new("segment-bad-frame");
+            let segment = Segment::create(dir.path(), 0).unwrap();
+            segment.append(&good.address(), &good).unwrap();
+            let bad_at = segment.append_bytes(&bad).unwrap();
+            drop(segment);
+            match Segment::open(dir.path(), 0).unwrap().scan(false) {
+                Err(StorageError::SegmentCorrupt {
+                    segment: 0,
+                    offset,
+                    reason: found,
+                }) => {
+                    assert_eq!(offset, bad_at, "{reason}");
+                    assert!(found.contains(reason), "{reason}: {found}");
+                }
+                other => panic!("{reason}: sealed scan gave {other:?}"),
+            }
+
+            // Tail of the last segment: dropped like a torn append.
+            let tail = Segment::open(dir.path(), 0).unwrap();
+            let outcome = tail.scan(true).unwrap();
+            assert_eq!(outcome.records.len(), 1, "{reason}");
+            assert!(outcome.roots.is_empty(), "{reason}");
+            assert_eq!(outcome.torn_bytes, bad.len() as u64, "{reason}");
+            assert_eq!(tail.len(), bad_at, "{reason}");
+            drop(tail);
+            let rescanned = Segment::open(dir.path(), 0).unwrap().scan(false).unwrap();
+            assert_eq!(rescanned.records.len(), 1, "{reason}");
+
+            // Followed by an intact record it cannot be a torn append, even
+            // in the last segment.
+            let dir = TempDir::new("segment-bad-frame-mid");
+            let segment = Segment::create(dir.path(), 0).unwrap();
+            segment.append_bytes(&bad).unwrap();
+            segment.append(&good.address(), &good).unwrap();
+            drop(segment);
+            assert!(
+                matches!(
+                    Segment::open(dir.path(), 0).unwrap().scan(true),
+                    Err(StorageError::SegmentCorrupt { .. })
+                ),
+                "{reason}"
+            );
+        }
     }
 
     #[test]
