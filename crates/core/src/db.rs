@@ -1,9 +1,11 @@
 //! The `SpitzDb` facade: the public API of the Spitz verifiable database.
 //!
-//! `SpitzDb` owns a chunk store, the unified ledger, a processor node and a
-//! typed table layer (schemas, records, inverted indexes for the analytical
-//! path). It exposes the operations the paper's evaluation measures:
-//! point/range reads and writes, each with and without verification.
+//! `SpitzDb` owns a chunk store, the unified ledger, the group-commit
+//! pipeline (durable instances) and a typed table layer (schemas, records,
+//! inverted indexes for the analytical path). It exposes the operations the
+//! paper's evaluation measures: point/range reads and writes, each with and
+//! without verification. Every write is one ledger commit: the SIRI index
+//! leaf holds the value, so no other copy is kept.
 
 use std::collections::{HashMap, HashSet};
 use std::path::Path;
@@ -23,10 +25,9 @@ use spitz_storage::{
     real_io, Chunk, ChunkKind, ChunkStore, CompactionReport, DurableChunkStore, DurableConfig,
     HealthState, InMemoryChunkStore, ScrubReport, SegmentIoHandle, StorageError, StoreStats,
 };
-use spitz_txn::CcScheme;
+use spitz_txn::{CcScheme, MvccStore, TimestampOracle, TransactionManager};
 
 use crate::cell::UniversalKey;
-use crate::control::{ProcessorNode, Request, Response};
 use crate::error::DbError;
 use crate::schema::{ColumnDef, ColumnType, Record, Schema, Value};
 use crate::snapshot::Snapshot;
@@ -41,7 +42,7 @@ pub const CATALOG_ROOT: &str = "spitz/catalog";
 ///
 /// Compaction is a mark-sweep pass over a durable instance's segment files:
 /// chunks unreachable from the database's named roots (superseded index
-/// nodes, orphaned cells, rolled-back writes) are dropped by rewriting the
+/// nodes, rolled-back writes, aborted 2PC staging) are dropped by rewriting the
 /// live survivors into fresh segments. The pass costs a full reachability
 /// walk, so the trigger is deliberately coarse: never before
 /// `min_disk_bytes` are on disk, and only while the measured
@@ -71,8 +72,6 @@ impl Default for CompactionTrigger {
 pub struct SpitzConfig {
     /// SIRI structure used by the ledger.
     pub siri: spitz_index::SiriKind,
-    /// Concurrency-control scheme for serializable transactions.
-    pub cc_scheme: CcScheme,
     /// Durability policy of the commit pipeline that durable instances
     /// route writes through (see [`DurabilityPolicy`] for the trade-offs).
     /// Purely in-memory instances ([`SpitzDb::in_memory`] /
@@ -104,7 +103,6 @@ impl Default for SpitzConfig {
     fn default() -> Self {
         SpitzConfig {
             siri: spitz_index::SiriKind::PosTree,
-            cc_scheme: CcScheme::Occ,
             durability: DurabilityPolicy::Strict,
             compaction: None,
             scrub_interval: None,
@@ -583,11 +581,36 @@ impl Scrubber {
     }
 }
 
+/// A processor node's transaction manager (MVCC with OCC validation).
+///
+/// Writes do not run through it: [`SpitzDb::put`] and
+/// [`SpitzDb::put_batch`] commit straight to the ledger, so its version
+/// store stays empty unless a caller opens transactions on it directly.
+/// It is kept because the `perfbench` `ingest` workload reads its version
+/// count through [`SpitzDb::processor`] (`core.mvcc_versions_per_put`).
+pub struct ProcessorNode {
+    manager: TransactionManager,
+}
+
+impl ProcessorNode {
+    fn new() -> Self {
+        let oracle = Arc::new(TimestampOracle::new());
+        ProcessorNode {
+            manager: TransactionManager::new(Arc::new(MvccStore::new()), oracle, CcScheme::Occ),
+        }
+    }
+
+    /// The node's transaction manager.
+    pub fn manager(&self) -> &TransactionManager {
+        &self.manager
+    }
+}
+
 /// The Spitz verifiable database.
 pub struct SpitzDb {
     store: Arc<dyn ChunkStore>,
     ledger: Arc<Ledger>,
-    node: Arc<ProcessorNode>,
+    processor: ProcessorNode,
     tables: RwLock<HashMap<String, Table>>,
     /// Present on durable instances: the group-commit pipeline writes are
     /// routed through. Shut down (drained + synced) when the db drops.
@@ -619,7 +642,7 @@ pub struct SpitzDb {
 
 impl SpitzDb {
     /// Create an in-memory instance with the default configuration (POS-Tree
-    /// ledger, MVCC + OCC) — the configuration evaluated in the paper.
+    /// ledger) — the configuration evaluated in the paper.
     pub fn in_memory() -> Self {
         Self::with_config(SpitzConfig::default())
     }
@@ -775,17 +798,11 @@ impl SpitzDb {
                 telemetry.clone(),
             )
         });
-        let node = Arc::new(ProcessorNode::with_pipeline(
-            Arc::clone(&store),
-            Arc::clone(&ledger),
-            config.cc_scheme,
-            pipeline.clone(),
-        ));
         let proof_obs = ProofObs::new(&telemetry);
         SpitzDb {
             store,
             ledger,
-            node,
+            processor: ProcessorNode::new(),
             tables: RwLock::new(HashMap::new()),
             pipeline,
             durable: None,
@@ -798,9 +815,9 @@ impl SpitzDb {
         }
     }
 
-    /// The processor node (control-layer access for advanced callers).
-    pub fn processor(&self) -> &Arc<ProcessorNode> {
-        &self.node
+    /// The processor node (see [`ProcessorNode`] for why it remains).
+    pub fn processor(&self) -> &ProcessorNode {
+        &self.processor
     }
 
     /// The group-commit pipeline, present on durable instances.
@@ -973,29 +990,35 @@ impl SpitzDb {
     // Key/value API (the operations measured in Figures 6–8)
     // ------------------------------------------------------------------
 
-    /// Write one key/value pair (sealed as its own ledger block).
+    /// Write one key/value pair (sealed as its own ledger block, or as part
+    /// of a shared block when the commit pipeline groups it).
     pub fn put(&self, key: &[u8], value: &[u8]) -> Result<Digest> {
-        match self.node.handle(Request::Put {
-            key: key.to_vec(),
-            value: value.to_vec(),
-        })? {
-            Response::Committed(digest) => {
-                self.nudge_compactor();
-                Ok(digest)
-            }
-            _ => Err(DbError::BadRequest("unexpected response".into())),
-        }
+        Ok(self.commit(vec![(key.to_vec(), value.to_vec())], "PUT")?)
     }
 
     /// Write a batch atomically as one ledger block.
     pub fn put_batch(&self, writes: Vec<(Vec<u8>, Vec<u8>)>) -> Result<Digest> {
-        match self.node.handle(Request::PutBatch { writes })? {
-            Response::Committed(digest) => {
-                self.nudge_compactor();
-                Ok(digest)
-            }
-            _ => Err(DbError::BadRequest("unexpected response".into())),
-        }
+        Ok(self.commit(writes, "PUT BATCH")?)
+    }
+
+    /// The one write path: seal `writes` into the ledger, through the
+    /// group-commit pipeline when one exists, then give the automatic
+    /// compactor its watermark check. Cross-shard 2PC commits and their
+    /// recovery redo land here too.
+    ///
+    /// A failed commit (disk full in a durable store) leaves nothing
+    /// readable: the ledger rolls its index back before returning the error.
+    pub(crate) fn commit(
+        &self,
+        writes: Vec<(Vec<u8>, Vec<u8>)>,
+        statement: &str,
+    ) -> std::result::Result<Digest, StorageError> {
+        let digest = match &self.pipeline {
+            Some(pipeline) => pipeline.commit(writes, statement)?,
+            None => self.ledger.try_append_block(writes, statement)?,
+        };
+        self.nudge_compactor();
+        Ok(digest)
     }
 
     /// Unverified point read.

@@ -4,13 +4,12 @@
 //! substrates in the sibling crates:
 //!
 //! * a **storage layer**: the ForkBase-like chunk store
-//!   (`spitz-storage`), the virtual [cell store](cell::CellStore) with
-//!   [universal keys](cell::UniversalKey), and the unified
-//!   [`spitz_ledger::Ledger`] whose SIRI index serves both queries and
-//!   verification;
-//! * a **control layer**: [processor nodes](control::ProcessorNode) made of a
-//!   request handler, an [auditor](control::Auditor) that talks to the
-//!   ledger, and a transaction manager from `spitz-txn`;
+//!   (`spitz-storage`) and the unified [`spitz_ledger::Ledger`], whose SIRI
+//!   index serves queries and verification and holds every value; typed
+//!   tables store each cell under its [universal key](cell::UniversalKey);
+//! * a **write path**: every put is one ledger commit, grouped by the
+//!   [`spitz_ledger::CommitPipeline`] on durable instances; cross-shard
+//!   batches add two-phase commit from `spitz-txn` ([`sharded::ShardedDb`]);
 //! * a **snapshot read path**: [`snapshot::Snapshot`] /
 //!   [`snapshot::ShardedSnapshot`] pin a (consistent-cut) digest once and
 //!   serve repeatable verified reads against that pin;
@@ -49,7 +48,6 @@
 #![warn(missing_docs)]
 
 pub mod cell;
-pub mod control;
 pub mod db;
 pub mod error;
 pub mod proof;
@@ -58,9 +56,8 @@ pub mod sharded;
 pub mod snapshot;
 pub mod staged;
 
-pub use cell::{Cell, CellStore, UniversalKey};
-pub use control::{Auditor, ProcessorNode, Request, RequestHandler, Response};
-pub use db::{CompactionTrigger, SpitzConfig, SpitzDb, CATALOG_ROOT};
+pub use cell::UniversalKey;
+pub use db::{CompactionTrigger, ProcessorNode, SpitzConfig, SpitzDb, CATALOG_ROOT};
 pub use error::DbError;
 pub use proof::{ShardMultiGroup, ShardedMultiProof, ShardedProof, ShardedRangeProof, Verifier};
 pub use schema::{ColumnType, Record, Schema, Value};
@@ -70,15 +67,6 @@ pub use sharded::{
 };
 pub use snapshot::{ShardedSnapshot, Snapshot};
 pub use spitz_storage::HealthState;
-
-/// Compatibility alias: the consolidated [`proof::Verifier`] replaces the
-/// old `verify::ClientVerifier`.
-pub type ClientVerifier = proof::Verifier;
-
-/// Compatibility module alias for the pre-consolidation `verify` path.
-pub mod verify {
-    pub use crate::proof::Verifier as ClientVerifier;
-}
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, DbError>;

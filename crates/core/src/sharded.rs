@@ -8,7 +8,7 @@
 //! transactions committed by different nodes can be made serializable."
 //! Concretely:
 //!
-//! * **One shard = one processor node.** Each shard owns a full [`SpitzDb`]
+//! * **One shard = one [`SpitzDb`].** Each shard owns a full [`SpitzDb`]
 //!   — its own chunk store (in-memory, or durable under its own directory),
 //!   unified ledger and group-commit pipeline. Keys route to shards by the
 //!   same content hash `spitz_txn`'s 2PC coordinator uses, so the mapping
@@ -49,7 +49,7 @@ use std::sync::Arc;
 
 use spitz_crypto::merkle::{AuditProof, MerkleTree};
 use spitz_crypto::Hash;
-use spitz_ledger::{CommitPipeline, Digest, Ledger};
+use spitz_ledger::Digest;
 use spitz_obs::{Counter, Histogram, TelemetryHandle, TelemetrySnapshot};
 use spitz_storage::{Chunk, ChunkKind, ChunkStore, CompactionReport, DurableConfig};
 use spitz_txn::TwoPhaseCoordinator;
@@ -85,8 +85,8 @@ pub fn shard_for(key: &[u8], shards: usize) -> usize {
 pub struct ShardedConfig {
     /// Number of shards (independent ledgers). Must be at least 1.
     pub shards: usize,
-    /// Per-shard Spitz configuration (SIRI kind, CC scheme, durability,
-    /// compaction trigger).
+    /// Per-shard Spitz configuration (SIRI kind, durability, compaction
+    /// trigger).
     pub spitz: SpitzConfig,
     /// Per-shard storage tuning (segment size, cache budget, fsync
     /// policy). Only [`ShardedDb::open`] uses it; in-memory and
@@ -238,28 +238,12 @@ impl PreparedBatch {
 /// The sink wiring one shard's 2PC participant to that shard's ledger:
 /// prepared writes are durably staged in the shard's chunk store at phase 1
 /// (and recorded in the shard's [`StagedLog`], so a restarted process can
-/// find them again) and sealed into the shard's ledger (through its commit
-/// pipeline, when one exists) at phase 2.
+/// find them again) and sealed through the shard's own write path
+/// (`SpitzDb::commit`) at phase 2.
 struct ShardSink {
     shard: usize,
-    store: Arc<dyn ChunkStore>,
-    ledger: Arc<Ledger>,
-    pipeline: Option<Arc<CommitPipeline>>,
+    db: Arc<SpitzDb>,
     staged: Arc<StagedLog>,
-}
-
-impl ShardSink {
-    fn commit_writes(
-        &self,
-        writes: Vec<(Vec<u8>, Vec<u8>)>,
-        statement: &str,
-    ) -> std::result::Result<(), String> {
-        match &self.pipeline {
-            Some(pipeline) => pipeline.commit(writes, statement).map(|_| ()),
-            None => self.ledger.try_append_block(writes, statement).map(|_| ()),
-        }
-        .map_err(|e| e.to_string())
-    }
 }
 
 impl PreparedApply for ShardSink {
@@ -278,7 +262,7 @@ impl PreparedApply for ShardSink {
             ChunkKind::Meta,
             encode_staged(global_txn_id, self.shard, writes),
         );
-        let address = self.store.try_put(chunk).map_err(|e| e.to_string())?;
+        let address = self.db.store().try_put(chunk).map_err(|e| e.to_string())?;
         // Record the staged batch in the shard's durable log so a restart
         // can still find (and resolve) it. Failing this is a No vote too.
         self.staged
@@ -292,7 +276,9 @@ impl PreparedApply for ShardSink {
         writes: Vec<(Vec<u8>, Vec<u8>)>,
         statement: &str,
     ) -> std::result::Result<(), String> {
-        self.commit_writes(writes, statement)?;
+        self.db
+            .commit(writes, statement)
+            .map_err(|e| e.to_string())?;
         // The batch is sealed in the ledger; drop it from the staged log.
         // A failure here is deliberately ignored: the entry would be
         // re-applied by a later recovery pass, which re-seals the same
@@ -528,7 +514,7 @@ impl ShardedDb {
     }
 
     /// Wire the 2PC layer over already-opened shards. Participants use
-    /// MVCC + two-phase locking regardless of the shards' own CC scheme:
+    /// MVCC + two-phase locking (shards have no CC scheme of their own):
     /// 2PL takes its (no-wait) locks in the prepare phase, so a `Yes` vote
     /// guarantees the commit phase cannot fail validation — the property
     /// 2PC requires of its participants. No-wait locks also mean two
@@ -564,9 +550,7 @@ impl ShardedDb {
             .map(|(i, db)| {
                 let sink = ShardSink {
                     shard: i,
-                    store: Arc::clone(db.store()),
-                    ledger: Arc::clone(db.ledger()),
-                    pipeline: db.pipeline().cloned(),
+                    db: Arc::clone(db),
                     staged: Arc::clone(&staged_logs[i]),
                 };
                 Arc::new(Participant::with_apply(
@@ -806,15 +790,10 @@ impl ShardedDb {
                     let Some((_, _, writes)) = decode_staged(chunk.data()) else {
                         continue;
                     };
-                    let db = &self.shards[shard];
-                    let applied = match db.pipeline() {
-                        Some(pipeline) => pipeline.commit(writes, "PUT BATCH (redo)").map(|_| ()),
-                        None => db
-                            .ledger()
-                            .try_append_block(writes, "PUT BATCH (redo)")
-                            .map(|_| ()),
-                    };
-                    if applied.is_ok() {
+                    if self.shards[shard]
+                        .commit(writes, "PUT BATCH (redo)")
+                        .is_ok()
+                    {
                         let _ = self.staged_logs[shard].remove(global_txn_id);
                     }
                 } else {

@@ -42,7 +42,8 @@ pub struct TxnRecord {
     pub op: WriteOp,
     /// The affected key.
     pub key: Vec<u8>,
-    /// Hash of the value written (the value itself lives in the cell store).
+    /// Hash of the value written (the value itself lives in the SIRI index
+    /// leaf under `key`).
     pub value_hash: Hash,
     /// The query statement (SQL or JSON form) that produced this write.
     pub statement: String,

@@ -132,7 +132,18 @@ fn snapshots_stay_internally_consistent_under_concurrent_updates() {
     let counter = telemetry.counter("t.snap.count");
     let stop = Arc::new(AtomicBool::new(false));
 
+    /// Stops the writers when the scope body ends, also when an assert in
+    /// it unwinds: the scope joins its threads before it re-raises the
+    /// panic, so without this a failed assert would hang the test.
+    struct StopOnDrop<'a>(&'a AtomicBool);
+    impl Drop for StopOnDrop<'_> {
+        fn drop(&mut self) {
+            self.0.store(true, Ordering::Relaxed);
+        }
+    }
+
     std::thread::scope(|scope| {
+        let _stop_writers = StopOnDrop(&stop);
         for t in 0..4u64 {
             let hist = Arc::clone(&hist);
             let counter = Arc::clone(&counter);
@@ -160,7 +171,6 @@ fn snapshots_stay_internally_consistent_under_concurrent_updates() {
             // The JSON rendering never emits NaN even mid-update.
             assert!(!snap.render_json().contains("NaN"));
         }
-        stop.store(true, Ordering::Relaxed);
     });
 
     // After writers stop, a final snapshot agrees with the live counter.

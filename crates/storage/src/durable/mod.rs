@@ -146,7 +146,7 @@ pub mod segment;
 
 use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
@@ -175,11 +175,12 @@ const QUARANTINE_DIR: &str = "quarantine";
 /// initial attempt), with 1/2/4 ms exponential backoff between them.
 const MAX_IO_RETRIES: u32 = 3;
 
-/// Consecutive clean write-path operations after which a `Degraded` store
-/// recovers to `Healthy` — the transient-error burst that degraded it has
-/// demonstrably subsided. `ReadOnly` never auto-recovers (the causes —
-/// ENOSPC, possible torn tails, lost chunks — are not transient); a reopen
-/// is the only way back.
+/// Consecutive clean write-path operations after which a store degraded by
+/// exhausted transient-I/O retries recovers to `Healthy` — the burst that
+/// degraded it has demonstrably subsided. A `Degraded` raised by a scrub
+/// quarantine does not auto-recover (clean writes say nothing about media
+/// corruption), and neither does `ReadOnly` (ENOSPC, possible torn tails,
+/// lost chunks are not transient); a reopen is the only way back.
 pub const DEGRADED_RECOVERY_OPS: u64 = 64;
 
 /// Tuning knobs of a [`DurableChunkStore`].
@@ -355,15 +356,20 @@ pub struct DurableChunkStore {
     /// creates; [`io::RealIo`] in production.
     io: SegmentIoHandle,
     /// Current [`HealthState`] as 0/1/2. Raised monotonically
-    /// (`fetch_max`) by write-path failures; the one sanctioned reverse
-    /// transition is Degraded → Healthy after
+    /// (`fetch_max`) by write-path failures and scrubs; the one sanctioned
+    /// reverse transition is Degraded → Healthy after
     /// [`DEGRADED_RECOVERY_OPS`] consecutive clean write-path operations
-    /// (see [`DurableChunkStore::note_write_success`]). ReadOnly is final
-    /// within a process lifetime; reopening resets.
+    /// (see [`DurableChunkStore::note_write_success`]), and only while no
+    /// scrub quarantine has degraded the store. ReadOnly is final within a
+    /// process lifetime; reopening resets.
     health: AtomicU8,
     /// Why the store degraded (empty while healthy) — carried into the
-    /// [`StorageError::ReadOnly`] writes fail with.
+    /// [`StorageError::ReadOnly`] writes fail with. Also serializes the
+    /// Degraded → Healthy recovery against `quarantine_degraded` being set.
     health_reason: Mutex<String>,
+    /// Set (under the `health_reason` lock) when a scrub quarantine
+    /// degraded the store; pins `Degraded` until reopen.
+    quarantine_degraded: AtomicBool,
     /// Consecutive write-path operations that completed without any I/O
     /// failure. Zeroed by every write-path failure; when it reaches
     /// [`DEGRADED_RECOVERY_OPS`] while the store is `Degraded`, health
@@ -565,6 +571,7 @@ impl DurableChunkStore {
             io,
             health: AtomicU8::new(HealthState::Healthy as u8),
             health_reason: Mutex::new(String::new()),
+            quarantine_degraded: AtomicBool::new(false),
             clean_ops: AtomicU64::new(0),
         };
         store.stats.store(stats);
@@ -712,18 +719,25 @@ impl DurableChunkStore {
     }
 
     /// Count a clean write-path operation toward automatic recovery from
-    /// `Degraded`. Once [`DEGRADED_RECOVERY_OPS`] consecutive operations
-    /// complete without an I/O failure, the store transitions back to
-    /// `Healthy` (reason cleared, telemetry event emitted). The CAS only
-    /// ever moves Degraded → Healthy: a `ReadOnly` store never recovers in
-    /// place, and a concurrent failure racing the recovery wins.
+    /// a transient-retry `Degraded`. Once [`DEGRADED_RECOVERY_OPS`]
+    /// consecutive operations complete without an I/O failure, the store
+    /// transitions back to `Healthy` (reason cleared, telemetry event
+    /// emitted). The CAS only ever moves Degraded → Healthy: a `ReadOnly`
+    /// store never recovers in place, a concurrent failure racing the
+    /// recovery wins, and a quarantine-raised `Degraded` stays.
     fn note_write_success(&self) {
-        if self.health.load(Ordering::Acquire) != HealthState::Degraded as u8 {
+        if self.health.load(Ordering::Acquire) != HealthState::Degraded as u8
+            || self.quarantine_degraded.load(Ordering::Acquire)
+        {
             return;
         }
         let clean = self.clean_ops.fetch_add(1, Ordering::AcqRel) + 1;
         if clean < DEGRADED_RECOVERY_OPS {
             return;
+        }
+        let mut reason = self.health_reason.lock();
+        if self.quarantine_degraded.load(Ordering::Acquire) {
+            return; // a scrub quarantine landed after the check above
         }
         if self
             .health
@@ -736,7 +750,8 @@ impl DurableChunkStore {
             .is_ok()
         {
             self.clean_ops.store(0, Ordering::Release);
-            *self.health_reason.lock() = String::new();
+            reason.clear();
+            drop(reason);
             self.obs.health.set(HealthState::Healthy as i64);
             self.obs.telemetry.event(
                 "store_recovered",
@@ -1212,6 +1227,10 @@ impl DurableChunkStore {
                 ),
             );
         } else {
+            {
+                let _serialize = self.health_reason.lock();
+                self.quarantine_degraded.store(true, Ordering::Release);
+            }
             self.raise_health(
                 HealthState::Degraded,
                 &format!(
@@ -1827,6 +1846,63 @@ mod tests {
             assert!(store.try_put(blob(b"refused")).is_err());
         }
         assert_eq!(store.health(), HealthState::ReadOnly);
+    }
+
+    #[test]
+    fn quarantine_degraded_does_not_recover_on_clean_writes() {
+        /// Flips one bit in append number `at`, reporting success.
+        #[derive(Debug)]
+        struct FlipAt {
+            at: u64,
+            ops: AtomicU64,
+        }
+        impl crate::SegmentIo for FlipAt {
+            fn on_append(&self, _segment: u64, _len: usize) -> crate::WriteOutcome {
+                if self.ops.fetch_add(1, Ordering::Relaxed) == self.at {
+                    crate::WriteOutcome::Corrupt {
+                        offset: 21,
+                        mask: 0x40,
+                    }
+                } else {
+                    crate::WriteOutcome::Full
+                }
+            }
+        }
+
+        let dir = TempDir::new("durable-quarantine-stays-degraded");
+        let io: SegmentIoHandle = Arc::new(FlipAt {
+            at: 1,
+            ops: AtomicU64::new(0),
+        });
+        let store = DurableChunkStore::open_with_io(
+            dir.path(),
+            small_config(),
+            spitz_obs::TelemetryHandle::new(),
+            io,
+        )
+        .unwrap();
+
+        // Append #1 is a root record that a later one supersedes, so the
+        // flip damages no chunk and the quarantine salvages everything.
+        let first = store.put(blob(b"first"));
+        store.set_root("head", first);
+        let addresses = populate(&store, 200);
+        store.set_root("head", addresses[199]);
+        assert!(store.inner.read().segments.len() > 2, "segment 0 sealed");
+
+        let report = store.scrub().unwrap();
+        assert_eq!(report.quarantined_segments, vec![0]);
+        assert_eq!(report.chunks_lost, 0);
+        assert!(report.chunks_salvaged > 0);
+        assert_eq!(store.health(), HealthState::Degraded);
+
+        for i in 0..2 * DEGRADED_RECOVERY_OPS {
+            store.put(blob(&(5000 + i).to_be_bytes()));
+        }
+        assert_eq!(store.health(), HealthState::Degraded);
+        assert!(store.health_reason().contains("quarantined"));
+        assert_eq!(store.get(&first).unwrap().data(), b"first");
+        assert_eq!(store.root("head"), Some(addresses[199]));
     }
 
     #[test]

@@ -16,9 +16,10 @@
 //! * **Versioning** — the [`version::VersionManager`] records, per logical
 //!   key, an append-only chain of [`version::Commit`]s, giving Git-like
 //!   lineage over immutable snapshots.
-//! * **Merkle DAG** — [`object::VBlob`] and [`object::VMap`] are built from
-//!   chunks whose hashes chain up to a single root hash, so any node of the
-//!   structure is tamper evident.
+//! * **Hash-chained objects** — a [`object::VBlob`] meta node lists its
+//!   chunks by hash, and the SIRI index nodes and ledger blocks stored here
+//!   reference their children the same way, so every structure chains up to
+//!   a single root hash and any node of it is tamper evident.
 //! * **Durability** — [`durable::DurableChunkStore`] persists chunks in
 //!   append-only segment files with per-record CRCs, crash recovery of a
 //!   torn tail, and named root pointers, behind the same [`ChunkStore`]
@@ -45,7 +46,6 @@
 
 pub mod chunk;
 pub mod chunker;
-pub mod dag;
 pub mod durable;
 pub mod error;
 pub mod mpt_commit;
@@ -64,7 +64,7 @@ pub use mpt_commit::{
     mpt_branch_commitment, mpt_commitment, mpt_extension_commitment, mpt_leaf_commitment,
     mpt_value_hash,
 };
-pub use object::{VBlob, VMap};
+pub use object::VBlob;
 pub use store::{ChunkStore, HealthState, InMemoryChunkStore, StoreStats};
 pub use version::{Commit, VersionManager};
 

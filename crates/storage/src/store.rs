@@ -22,9 +22,11 @@ use crate::Result;
 /// route around sick storage instead of discovering failures one write at a
 /// time.
 ///
-/// Transitions are one-way within a process lifetime (`Healthy → Degraded →
-/// ReadOnly`); reopening the store after the underlying condition is fixed
-/// resets it.
+/// Within a process lifetime health only rises (`Healthy → Degraded →
+/// ReadOnly`), with one exception: a store degraded by exhausted
+/// transient-I/O retries returns to `Healthy` after a run of clean writes.
+/// A `Degraded` raised by a scrub quarantine and every `ReadOnly` hold until
+/// the store is reopened, which resets health.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord)]
 pub enum HealthState {
     /// Fully operational.

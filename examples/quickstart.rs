@@ -6,8 +6,8 @@
 use spitz::{SpitzDb, Verifier};
 
 fn main() {
-    // A Spitz instance with the paper's default configuration: POS-Tree
-    // ledger index, MVCC + OCC concurrency control.
+    // A Spitz instance with the paper's default configuration: a POS-Tree
+    // ledger index.
     let db = SpitzDb::in_memory();
 
     // Writes are sealed into ledger blocks; every write advances the digest.

@@ -55,7 +55,6 @@ pub use spitz_core::proof::{ShardedProof, ShardedRangeProof, Verifier};
 pub use spitz_core::schema::{ColumnType, Record, Schema, Value};
 pub use spitz_core::sharded::{ShardedConfig, ShardedDb, ShardedDigest};
 pub use spitz_core::snapshot::{ShardedSnapshot, Snapshot};
-pub use spitz_core::ClientVerifier;
 pub use spitz_crypto::Hash;
 pub use spitz_ledger::{CommitPipeline, Digest, DurabilityPolicy, Ledger};
 pub use spitz_obs::{TelemetryHandle, TelemetrySnapshot};

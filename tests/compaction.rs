@@ -12,7 +12,7 @@ use spitz::core::sharded::{ShardedConfig, ShardedDb};
 use spitz::core::staged::StagedLog;
 use spitz::storage::durable::CompactionFault;
 use spitz::storage::DurableConfig;
-use spitz::{ClientVerifier, Hash, SpitzConfig, SpitzDb};
+use spitz::{Hash, SpitzConfig, SpitzDb, Verifier};
 
 mod common;
 use common::TempDir;
@@ -30,7 +30,7 @@ fn key(i: u32) -> Vec<u8> {
 }
 
 /// One commit epoch: overwrite all `n` keys (previous versions become
-/// garbage — superseded index nodes and dead cell chunks).
+/// garbage — superseded index nodes).
 fn epoch(db: &SpitzDb, e: u32, n: u32) {
     let writes: Vec<_> = (0..n)
         .map(|i| (key(i), format!("epoch-{e}-value-{i}").into_bytes()))
@@ -81,7 +81,7 @@ fn compaction_reclaims_garbage_and_preserves_digests_and_pinned_proofs() {
     assert_eq!(db.digest(), pre);
 
     // Live verified reads still verify against the current digest.
-    let mut client = ClientVerifier::new();
+    let mut client = Verifier::new();
     assert!(client.observe_digest(db.digest()));
     for i in (0..50).step_by(7) {
         let (value, proof) = db.get_verified(&key(i)).unwrap();
@@ -90,7 +90,7 @@ fn compaction_reclaims_garbage_and_preserves_digests_and_pinned_proofs() {
     }
 
     // The pre-compaction pin still serves repeatable verified reads.
-    let mut pinned_client = ClientVerifier::new();
+    let mut pinned_client = Verifier::new();
     assert!(pinned_client.observe_digest(pinned_digest));
     for i in (0..50).step_by(11) {
         let (value, proof) = pinned.get_verified(&key(i));
@@ -141,7 +141,7 @@ fn compaction_crash_points_reopen_to_identical_digests() {
             .unwrap();
         assert_eq!(db.digest(), pre, "{fault:?}: reopen must be identical");
         assert_eq!(db.digest(), pinned_digest, "{fault:?}");
-        let mut client = ClientVerifier::new();
+        let mut client = Verifier::new();
         assert!(client.observe_digest(db.digest()));
         for i in 0..40 {
             let (value, proof) = db.get_verified(&key(i)).unwrap();
@@ -206,7 +206,7 @@ fn automatic_trigger_compacts_on_the_write_path() {
 
     // Same writes, same digest — compaction changed layout only.
     assert_eq!(with.digest(), without.digest());
-    let mut client = ClientVerifier::new();
+    let mut client = Verifier::new();
     assert!(client.observe_digest(with.digest()));
     let (value, proof) = with.get_verified(&key(17)).unwrap();
     assert_eq!(value, Some(b"epoch-29-value-17".to_vec()));
@@ -309,7 +309,7 @@ fn soak_disk_stays_within_twice_live_bytes_under_concurrent_readers() {
             let mut rounds = 0u64;
             while !stop.load(Ordering::Relaxed) {
                 let snapshot = db.snapshot().expect("snapshot");
-                let mut pinned = ClientVerifier::new();
+                let mut pinned = Verifier::new();
                 assert!(pinned.observe_digest(snapshot.digest()));
                 for i in (0..KEYS).step_by(9) {
                     let (value, proof) = snapshot.get_verified(&key(i));
@@ -319,7 +319,7 @@ fn soak_disk_stays_within_twice_live_bytes_under_concurrent_readers() {
                     );
                     assert!(value.is_some(), "seeded key vanished");
                 }
-                let mut live = ClientVerifier::new();
+                let mut live = Verifier::new();
                 let (value, proof) = db.get_verified(&key(1)).expect("read");
                 assert!(live.observe_digest(proof.digest));
                 assert!(

@@ -15,7 +15,7 @@ use spitz::storage::chunk::{Chunk, ChunkKind};
 use spitz::storage::durable::format::root_record_len;
 use spitz::storage::durable::DurableConfig;
 use spitz::storage::{ChunkStore, DurableChunkStore, StorageError};
-use spitz::{ClientVerifier, SpitzDb};
+use spitz::{SpitzDb, Verifier};
 
 mod common;
 use common::{segment_files, TempDir};
@@ -34,7 +34,7 @@ fn blob(data: &[u8]) -> Chunk {
 #[test]
 fn reopened_spitzdb_reproduces_digest_chain_and_proofs() {
     let dir = TempDir::new("db-reopen");
-    let mut client = ClientVerifier::new();
+    let mut client = Verifier::new();
 
     let (digest, records_root, block0, stats) = {
         let db = SpitzDb::open(dir.path()).unwrap();
@@ -323,6 +323,46 @@ fn concurrent_pipeline_writers_commit_every_record_exactly_once() {
     assert_eq!(db.digest(), digest);
     assert_eq!(db.ledger().len() as u32, WRITERS * PUTS);
     assert_eq!(db.ledger().audit_chain(), None);
+}
+
+/// Concurrent puts to one key never fail: the ledger orders them, and no
+/// other layer adds a write-write conflict rule. The survivor is one
+/// writer's last value and its proof verifies against the digest.
+#[test]
+fn concurrent_puts_to_one_key_all_commit() {
+    const WRITERS: u32 = 4;
+    const PUTS: u32 = 3000;
+    fn hammer(db: &SpitzDb) {
+        std::thread::scope(|scope| {
+            for writer in 0..WRITERS {
+                scope.spawn(move || {
+                    for i in 0..PUTS {
+                        let value = format!("writer-{writer}/put-{i}");
+                        if let Err(e) = db.put(b"hot", value.as_bytes()) {
+                            panic!("writer {writer} put {i} failed: {e}");
+                        }
+                    }
+                });
+            }
+        });
+        let last: Vec<Vec<u8>> = (0..WRITERS)
+            .map(|w| format!("writer-{w}/put-{}", PUTS - 1).into_bytes())
+            .collect();
+        let value = db.get(b"hot").unwrap().expect("key written");
+        assert!(last.contains(&value), "survivor is not a last write");
+
+        let mut client = Verifier::new();
+        assert!(client.observe_digest(db.digest()));
+        let (proved, proof) = db.get_verified(b"hot").unwrap();
+        assert_eq!(proved, Some(value));
+        assert!(client.verify_read(b"hot", proved.as_deref(), &proof));
+    }
+
+    hammer(&SpitzDb::in_memory());
+
+    let dir = TempDir::new("one-key-contention");
+    let config = SpitzConfig::default().with_durability(DurabilityPolicy::grouped_default());
+    hammer(&SpitzDb::open_with_config(dir.path(), config).unwrap());
 }
 
 /// `flush()` makes grouped commits durable on demand: after a flush, a
